@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.kg.KG
-import repro.rdf.Endpoint
+import repro.rdf.{Endpoint, Paged}
 import repro.sampling.{BRW, IBS, URW}
 import repro.synth.{LPTask, NCTask, Tasks}
 
@@ -31,23 +31,27 @@ object KGTOSA {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Materialise a subgraph so the measured extraction time includes doing
-    * the work, then return it with flat lineage (eager local checkpoint) so
-    * downstream training/metrics plans stay small.
+  /** Merge the subqueries' results into a KG' (Algorithm 3's final
+    * ``distinct``, the one dedup of the extraction), materialised so the
+    * measured extraction time includes doing the work. The triples are
+    * checkpointed first and the node set derived from that checkpoint:
+    * endpoints of the triples plus all targets (targets with no matched
+    * edge must stay — they carry labels), types joined back from the full
+    * KG. The per-subquery results are freed once KG' is materialised.
+    *
+    * @param restrict narrows the merged triples before they are checkpointed
     */
-  private def force(sub: KG): KG =
-    KG(sub.schema, sub.triples.localCheckpoint(true), sub.nodeTypes.localCheckpoint(true))
-
-  /** Assemble a KG' from extracted triples: node set = endpoints of the
-    * triples plus all targets (targets with no matched edge must stay —
-    * they carry labels), types joined back from the full KG.
-    */
-  private def fromTriples(kg: KG, triples: DataFrame, targets: DataFrame): KG = {
-    val nodes = triples.select(col("s") as "id")
+  private def merge(kg: KG, results: Seq[Paged], targets: DataFrame,
+                    restrict: DataFrame => DataFrame = identity): KG = {
+    val merged = results.map(_.rows).reduce(_ union _).distinct()
+      .select(col("s"), col("p").cast("int") as "p", col("o"))
+    val triples = restrict(merged).localCheckpoint(true)
+    val ids = triples.select(col("s") as "id")
       .union(triples.select(col("o") as "id"))
       .union(targets.select(col("id")))
-      .distinct()
-    KG(kg.schema, triples, kg.nodeTypes.join(nodes, "id"))
+    val sub = KG(kg.schema, triples, kg.nodeTypes.join(ids, Seq("id"), "left_semi").localCheckpoint(true))
+    results.foreach(r => KG.release(r.materialised))
+    sub
   }
 
   /** SPARQL-based TOSG extraction (Algorithm 3) for an NC task: one
@@ -63,21 +67,19 @@ object KGTOSA {
     require(targetSample.isEmpty || pattern.h == 1, "target sampling only supported for h = 1 patterns")
     val queries = pattern.queries(task.targetType)
     val targets = targetSample.getOrElse(Tasks.targets(kg, task))
+    // h = 1: every extracted triple touches a target at s (d ≥ 1) or o (d = 2)
+    def touchingSample(ts: DataFrame)(triples: DataFrame): DataFrame = {
+      val t = ts.select(col("id"))
+      val onS = triples.join(t.withColumnRenamed("id", "s"), Seq("s"), "left_semi")
+      if (pattern.d == 2)
+        onS.union(triples.join(t.withColumnRenamed("id", "s"), Seq("s"), "left_anti")
+          .join(t.withColumnRenamed("id", "o"), Seq("o"), "left_semi").select("s", "p", "o"))
+      else onS
+    }
     val ((sub, nBatches), secs) = timed {
-      val results = queries.map(q => endpoint.paginated(q, bs))
-      var triples = results.map(_._1).reduce(_ union _)
-        .dropDuplicates()
-        .select(col("s"), col("p").cast("int") as "p", col("o"))
-      targetSample.foreach { ts =>
-        // h = 1: every extracted triple touches a target at s (d ≥ 1) or o (d = 2)
-        val t = ts.select(col("id")).distinct()
-        val onS = triples.join(t.withColumnRenamed("id", "s"), "s").select("s", "p", "o")
-        triples =
-          if (pattern.d == 2)
-            onS.union(triples.join(t.withColumnRenamed("id", "o"), "o").select("s", "p", "o")).dropDuplicates()
-          else onS
-      }
-      (force(fromTriples(kg, triples, targets)), results.map(_._2).sum)
+      val results = queries.map(q => endpoint.fetch(q, bs))
+      (merge(kg, results, targets, targetSample.fold(identity[DataFrame] _)(touchingSample)),
+        results.map(_.batches).sum)
     }
     Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches,
       queries.map(repro.rdf.Sparql.render))
@@ -93,13 +95,10 @@ object KGTOSA {
     val ti = kg.schema.nodeTypes(et.srcType).name
     val tj = kg.schema.nodeTypes(et.dstType).name
     val queries = pattern.lpQueries(ti, tj, task.predicate)
-    val targets = kg.nodesOfType(ti).union(kg.nodesOfType(tj)).distinct()
+    val targets = kg.nodesOfType(ti).union(kg.nodesOfType(tj))
     val ((sub, nBatches), secs) = timed {
-      val results = queries.map(q => endpoint.paginated(q, bs))
-      val triples = results.map(_._1).reduce(_ union _)
-        .dropDuplicates()
-        .select(col("s"), col("p").cast("int") as "p", col("o"))
-      (force(fromTriples(kg, triples, targets)), results.map(_._2).sum)
+      val results = queries.map(q => endpoint.fetch(q, bs))
+      (merge(kg, results, targets), results.map(_.batches).sum)
     }
     Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches,
       queries.map(repro.rdf.Sparql.render))
@@ -107,13 +106,13 @@ object KGTOSA {
 
   /** BRW baseline extraction (Algorithm 1). */
   def brwExtract(kg: KG, task: NCTask, bs: Int, h: Int, seed: Int): Extraction = {
-    val (sub, secs) = timed(force(BRW.sample(kg, Tasks.targets(kg, task), bs, h, seed)))
+    val (sub, secs) = timed(BRW.sample(kg, Tasks.targets(kg, task), bs, h, seed).cached())
     Extraction(sub, secs, "BRW")
   }
 
   /** IBS baseline extraction (Algorithm 2). */
   def ibsExtract(kg: KG, task: NCTask, bs: Int, k: Int, alpha: Double, seed: Int): Extraction = {
-    val (sub, secs) = timed(force(IBS.sample(kg, Tasks.targets(kg, task), bs, k, alpha, seed)))
+    val (sub, secs) = timed(IBS.sample(kg, Tasks.targets(kg, task), bs, k, alpha, seed).cached())
     Extraction(sub, secs, "IBS")
   }
 
@@ -121,7 +120,7 @@ object KGTOSA {
     * "RW" column.
     */
   def urwExtract(kg: KG, bs: Int, h: Int, seed: Int): Extraction = {
-    val (sub, secs) = timed(force(URW.sample(kg, bs, h, seed)))
+    val (sub, secs) = timed(URW.sample(kg, bs, h, seed).cached())
     Extraction(sub, secs, "URW")
   }
 }

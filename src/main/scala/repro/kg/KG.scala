@@ -1,6 +1,7 @@
 package repro.kg
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{classic, Column, DataFrame}
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
 /** Summary statistics of a KG — the quantities reported in Table I. */
@@ -25,9 +26,11 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
   def cached(): KG =
     KG(schema, triples.localCheckpoint(true), nodeTypes.localCheckpoint(true))
 
-  /** Drop cached tables (benches call this between KGs to bound memory). */
+  /** Free both tables' storage (benches call this between KGs to bound
+    * memory); the KG cannot be read afterwards if they were checkpoints.
+    */
   def uncache(): KG = {
-    triples.unpersist(); nodeTypes.unpersist()
+    KG.release(triples); KG.release(nodeTypes)
     this
   }
 
@@ -59,6 +62,23 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
 }
 
 object KG {
+  /** Free the storage a frame owns and wait until it is gone: its cache and,
+    * if the frame is itself a local checkpoint, the checkpointed RDD behind
+    * it, which ``Dataset.unpersist`` leaves in place. A frame derived from a
+    * checkpoint owns none of it, so releasing it leaves the checkpoint alone.
+    */
+  def release(df: DataFrame): Unit = {
+    df.unpersist(blocking = true)
+    df match {
+      case d: classic.Dataset[_] =>
+        d.queryExecution.logical match {
+          case r: LogicalRDD => r.rdd.unpersist(blocking = true)
+          case _             => ()
+        }
+      case _ => ()
+    }
+  }
+
   /** Deterministic uniform(0,1) pseudo-random from arbitrary columns —
     * unlike ``rand()`` it does not depend on partitioning, so generators
     * and samplers are reproducible across sessions and parallelism levels.

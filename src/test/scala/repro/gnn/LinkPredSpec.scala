@@ -41,6 +41,14 @@ class LinkPredSpec extends SparkSpec {
     ex.subgraph.uncache(); store.close()
   }
 
+  test("Hits@10 depends on the triple set, not on row order") {
+    val kg = TestKGs.yago3
+    val reordered = kg.copy(triples = kg.triples.repartition(7))
+    val a = LinkPred.train(kg, Tasks.CA_YAGO3, "MorsE", epochs = 3)
+    val b = LinkPred.train(reordered, Tasks.CA_YAGO3, "MorsE", epochs = 3)
+    assert(a.hits10 == b.hits10)
+  }
+
   test("unknown LP methods are rejected") {
     intercept[IllegalArgumentException](
       LinkPred.train(TestKGs.yago3, Tasks.CA_YAGO3, "TuckER"))

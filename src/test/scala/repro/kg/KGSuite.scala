@@ -1,5 +1,7 @@
 package repro.kg
 
+import org.apache.spark.sql.classic
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestKGs}
@@ -57,5 +59,17 @@ class KGSuite extends SparkSpec {
   test("hashRand is roughly uniform") {
     val mean = spark.range(20000).select(avg(KG.hashRand(3, col("id")))).head().getDouble(0)
     assert(math.abs(mean - 0.5) < 0.02)
+  }
+
+  test("uncache frees the storage of the KG's checkpoints") {
+    val g = KG(kg.schema, kg.triples.limit(100), kg.nodeTypes.limit(100)).cached()
+    val ids = Seq(g.triples, g.nodeTypes).map(_.asInstanceOf[classic.Dataset[_]].queryExecution.logical)
+      .collect { case r: LogicalRDD => r.rdd.id }
+    assert(ids.size == 2)
+    def stored = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+    assert(ids.forall(stored.contains))
+    g.uncache()
+    assert(ids.forall(id => !stored.contains(id)))
+    assert(kg.triples.count() > 0) // the source KG keeps its own checkpoint
   }
 }

@@ -1,10 +1,14 @@
 package repro.rdf
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestKGs}
+import repro.core.GraphPattern
 
-class BGPExecutorSpec extends SparkSpec {
+class BGPExecutorSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val kg = TestKGs.yago3
   private lazy val store = new TripleStore(kg)
@@ -98,5 +102,24 @@ class BGPExecutorSpec extends SparkSpec {
   test("variable predicates do not leak virtual type triples") {
     val got = run("SELECT ?p WHERE { ?s ?p ?o }").distinct().collect().map(_.getLong(0))
     assert(!got.contains(kg.schema.typeP.toLong))
+  }
+
+  test("LIMIT/OFFSET beyond Int.MaxValue are rejected, not wrapped") {
+    val big = Int.MaxValue.toLong + 1
+    intercept[IllegalArgumentException](run(s"SELECT ?s ?o WHERE { ?s <rel:livesIn> ?o } LIMIT $big"))
+    intercept[IllegalArgumentException](run(s"SELECT ?s ?o WHERE { ?s <rel:livesIn> ?o } OFFSET $big"))
+    assert(run(s"SELECT ?s ?o WHERE { ?s <rel:livesIn> ?o } LIMIT ${Int.MaxValue}").count() > 0)
+  }
+
+  private def shuffles(df: DataFrame): Seq[ShuffleExchangeExec] = {
+    df.collect()
+    collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeExec => e }
+  }
+
+  test("hop-1 type-plus-neighbour subqueries and their distinct run without a shuffle") {
+    val Seq(out1, in1) = GraphPattern(2, 1).queries("Person")
+    assert(out1 == GraphPattern(1, 1).queries("Person").head)
+    assert(shuffles(exec.execute(out1).distinct()).isEmpty)
+    assert(shuffles(exec.execute(in1).distinct()).isEmpty)
   }
 }

@@ -59,4 +59,24 @@ class EndpointSpec extends SparkSpec {
     val (paged, _) = endpoint.paginated(qu, bs = 131)
     assert(paged.count() == endpoint.count(qu))
   }
+
+  test("page bounds are Long row ranges, also beyond Int.MaxValue rows") {
+    val total = 5L * Int.MaxValue + 3
+    val bs = 2L * Int.MaxValue
+    val pages = Endpoint.pageBounds(total, bs)
+    assert(pages == Seq((0L, bs), (bs, 2 * bs), (2 * bs, total)))
+    assert(Endpoint.pageBounds(0, 10) == Seq((0L, 0L)))
+    assert(Endpoint.pageBounds(20, 10) == Seq((0L, 10L), (10L, 20L)))
+    intercept[IllegalArgumentException](Endpoint.pageBounds(total, 1))
+    intercept[IllegalArgumentException](Endpoint.pageBounds(10, 0))
+  }
+
+  test("a page is sliced from the partitions its row range covers") {
+    val big = 3L * Int.MaxValue
+    val sizes = IndexedSeq(big, 0L, 10L, big)
+    assert(Endpoint.slices(sizes, 0, 5) == Seq((0, 0L, 5L)))
+    assert(Endpoint.slices(sizes, big - 2, big + 4) == Seq((0, big - 2, big), (2, 0L, 4L)))
+    assert(Endpoint.slices(sizes, big + 10, 2 * big + 10) == Seq((3, 0L, big)))
+    assert(Endpoint.slices(sizes, 0, 0).isEmpty)
+  }
 }
