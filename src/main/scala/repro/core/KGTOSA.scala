@@ -4,7 +4,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.kg.KG
-import repro.rdf.{Endpoint, Paged}
+import repro.obs.timed
+import repro.rdf.{Endpoint, Query, Sparql}
 import repro.sampling.{BRW, IBS, URW}
 import repro.synth.{LPTask, NCTask, Tasks}
 
@@ -25,15 +26,9 @@ final case class Extraction(
   */
 object KGTOSA {
 
-  private def timed[T](body: => T): (T, Double) = {
-    val t0 = System.nanoTime()
-    val r = body
-    (r, (System.nanoTime() - t0) / 1e9)
-  }
-
-  /** Merge the subqueries' results into a KG' (Algorithm 3's final
-    * ``distinct``, the one dedup of the extraction), materialised so the
-    * measured extraction time includes doing the work. The triples are
+  /** Fetch every subquery and merge the results into a KG' (Algorithm 3's
+    * final ``distinct``, the one dedup of the extraction), materialised so
+    * the measured extraction time includes doing the work. The triples are
     * checkpointed first and the node set derived from that checkpoint:
     * endpoints of the triples plus all targets (targets with no matched
     * edge must stay — they carry labels), types joined back from the full
@@ -41,17 +36,22 @@ object KGTOSA {
     *
     * @param restrict narrows the merged triples before they are checkpointed
     */
-  private def merge(kg: KG, results: Seq[Paged], targets: DataFrame,
-                    restrict: DataFrame => DataFrame = identity): KG = {
-    val merged = results.map(_.rows).reduce(_ union _).distinct()
-      .select(col("s"), col("p").cast("int") as "p", col("o"))
-    val triples = restrict(merged).localCheckpoint(true)
-    val ids = triples.select(col("s") as "id")
-      .union(triples.select(col("o") as "id"))
-      .union(targets.select(col("id")))
-    val sub = KG(kg.schema, triples, kg.nodeTypes.join(ids, Seq("id"), "left_semi").localCheckpoint(true))
-    results.foreach(r => KG.release(r.materialised))
-    sub
+  private def extract(endpoint: Endpoint, queries: Seq[Query], bs: Long, pattern: GraphPattern,
+                      targets: DataFrame, restrict: DataFrame => DataFrame = identity): Extraction = {
+    val kg = endpoint.store.kg
+    val ((sub, nBatches), secs) = timed {
+      val results = queries.map(q => endpoint.fetch(q, bs))
+      val merged = results.map(_.rows).reduce(_ union _).distinct()
+        .select(col("s"), col("p").cast("int") as "p", col("o"))
+      val triples = restrict(merged).localCheckpoint(true)
+      val ids = triples.select(col("s") as "id")
+        .union(triples.select(col("o") as "id"))
+        .union(targets.select(col("id")))
+      val sub = KG(kg.schema, triples, kg.nodeTypes.join(ids, Seq("id"), "left_semi").localCheckpoint(true))
+      results.foreach(r => KG.release(r.materialised))
+      (sub, results.map(_.batches).sum)
+    }
+    Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches, queries.map(Sparql.render))
   }
 
   /** SPARQL-based TOSG extraction (Algorithm 3) for an NC task: one
@@ -76,13 +76,7 @@ object KGTOSA {
           .join(t.withColumnRenamed("id", "o"), Seq("o"), "left_semi").select("s", "p", "o"))
       else onS
     }
-    val ((sub, nBatches), secs) = timed {
-      val results = queries.map(q => endpoint.fetch(q, bs))
-      (merge(kg, results, targets, targetSample.fold(identity[DataFrame] _)(touchingSample)),
-        results.map(_.batches).sum)
-    }
-    Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches,
-      queries.map(repro.rdf.Sparql.render))
+    extract(endpoint, queries, bs, pattern, targets, targetSample.fold(identity[DataFrame] _)(touchingSample))
   }
 
   /** SPARQL-based TOSG extraction for an LP task (d2h1 default): per-type
@@ -96,12 +90,7 @@ object KGTOSA {
     val tj = kg.schema.nodeTypes(et.dstType).name
     val queries = pattern.lpQueries(ti, tj, task.predicate)
     val targets = kg.nodesOfType(ti).union(kg.nodesOfType(tj))
-    val ((sub, nBatches), secs) = timed {
-      val results = queries.map(q => endpoint.fetch(q, bs))
-      (merge(kg, results, targets), results.map(_.batches).sum)
-    }
-    Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches,
-      queries.map(repro.rdf.Sparql.render))
+    extract(endpoint, queries, bs, pattern, targets)
   }
 
   /** BRW baseline extraction (Algorithm 1). */

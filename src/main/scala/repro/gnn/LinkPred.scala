@@ -6,6 +6,7 @@ import scala.util.Random
 import org.apache.spark.sql.functions._
 
 import repro.kg.KG
+import repro.obs.timed
 import repro.synth.LPTask
 
 /** Outcome of one link-prediction training run. */
@@ -40,8 +41,22 @@ object LinkPred {
             dim: Int = 16, epochs: Int = 12, lr: Double = 0.05,
             margin: Double = 1.0, seed: Int = 13): LPResult = {
     require(methods.contains(method), s"unknown LP method $method")
-    val t0 = System.nanoTime()
+    val ((hits10, nTrain, nTest, nNodes, nRels), secs) =
+      timed(fit(g, task, method, dim, epochs, lr, margin, seed))
+    val bigF = MemoryModel.F
+    val projParams = if (method == "LHGNN") nRels.toLong * bigF else 0L
+    val params = nNodes.toLong * bigF + nRels.toLong * bigF + projParams
+    val mem = 16L * nTrain + 24L * params +
+      (if (method == "RGCN") 8L * nNodes * bigF * 3 else 0L)
+    LPResult(method, hits10, secs, params, mem, nTrain.toLong, nTest.toLong)
+  }
 
+  /** Train embeddings on ``g`` and score the held-out edges; returns
+    * Hits@10 and the counts the memory model needs: train triples, test
+    * triples, nodes, relations.
+    */
+  private def fit(g: KG, task: LPTask, method: String, dim: Int, epochs: Int, lr: Double,
+                  margin: Double, seed: Int): (Double, Int, Int, Int, Int) = {
     val schema = g.schema
     val pT = schema.edgeType(task.predicate)
     val predEdges = g.triples.filter(col("p") === pT.id)
@@ -141,13 +156,6 @@ object LinkPred {
       if (better < 10) hits += 1
     }
     val hits10 = if (test.isEmpty || candidates.isEmpty) 0.0 else hits.toDouble / test.length
-
-    val secs = (System.nanoTime() - t0) / 1e9
-    val bigF = MemoryModel.F
-    val projParams = if (method == "LHGNN") nRels.toLong * bigF else 0L
-    val params = nNodes.toLong * bigF + nRels.toLong * bigF + projParams
-    val mem = 16L * train.length + 24L * params +
-      (if (method == "RGCN") 8L * nNodes * bigF * 3 else 0L)
-    LPResult(method, hits10, secs, params, mem, train.length.toLong, test.length.toLong)
+    (hits10, train.length, test.length, nNodes, nRels)
   }
 }

@@ -6,15 +6,15 @@ import org.apache.spark.sql.functions._
 /** Compiles a SPARQL-subset [[Query]] to Catalyst joins over a
   * [[TripleStore]]'s index views.
   *
-  * View choice per triple pattern mirrors an RDF engine's index pick. A
-  * bound predicate reads [[TripleStore.byP]]; ``rdf:type`` reads the virtual
-  * [[TripleStore.typeTriples]]. A variable-predicate pattern reads the view
-  * keyed on the variable it is joined on: [[TripleStore.byS]] when that is
-  * its subject, [[TripleStore.byO]] when it is its object. Both are
-  * co-partitioned with the type triples, so a type pattern joined with a
-  * variable-predicate pattern — every hop-1 KG-TOSA subquery — needs no
-  * shuffle. A pattern not joined on its subject or object falls back to a
-  * bound position's view, else to the raw triples.
+  * View choice per triple pattern mirrors an RDF engine's index pick, made
+  * by the pattern's join key. ``rdf:type`` reads the virtual
+  * [[TripleStore.typeTriples]]. Every other pattern reads
+  * [[TripleStore.byS]], except that it reads [[TripleStore.byO]] when it is
+  * joined on its object and not its subject, or is joined on neither and
+  * binds only its object. Both views are co-partitioned with the type
+  * triples, so a type pattern joined with a variable-predicate pattern —
+  * every hop-1 KG-TOSA subquery — needs no shuffle. A constant subject,
+  * predicate or object is an equality filter on the chosen view.
   *
   * Variable-predicate patterns match only data triples (not the virtual
   * type triples); node types travel in the node-type table instead.
@@ -76,22 +76,20 @@ final class BGPExecutor(store: TripleStore) {
     */
   private def scan(tp: TriplePattern, joinVars: Seq[String]): DataFrame = {
     def joinedOn(t: Term) = t match { case Var(n) => joinVars.contains(n); case _ => false }
-    val base = tp.p match {
-      case iri: IRI if iri.name == "rdf:type" => store.typeTriples
-      case iri: IRI                           => store.byP.filter(col("p") === store.resolve(iri).toInt)
-      case _: Var if joinedOn(tp.s)           => store.byS
-      case _: Var if joinedOn(tp.o)           => store.byO
-      case _: Var =>
-        (tp.s, tp.o) match {
-          case (_: IRI, _) => store.byS
-          case (_, _: IRI) => store.byO
-          case _           => store.triples
-        }
+    // joined on the object and not the subject, or on neither with only
+    // the object a variable
+    val keyedOnObject = !joinedOn(tp.s) &&
+      (joinedOn(tp.o) || (tp.s.isInstanceOf[IRI] && tp.o.isInstanceOf[Var]))
+    var df = tp.p match {
+      case IRI("rdf:type")    => store.typeTriples
+      case _ if keyedOnObject => store.byO
+      case _                  => store.byS
     }
-    var df = base
-    // constant filters for subject/object
-    tp.s match { case iri: IRI => df = df.filter(col("s") === store.resolve(iri)); case _ => () }
-    tp.o match { case iri: IRI => df = df.filter(col("o") === store.resolve(iri)); case _ => () }
+    // constant filters
+    for ((t, c) <- Seq(tp.s -> "s", tp.p -> "p", tp.o -> "o")) t match {
+      case iri: IRI => df = df.filter(col(c) === store.resolve(iri))
+      case _        => ()
+    }
     // repeated variable inside one pattern → equality filter
     (tp.s, tp.o) match {
       case (Var(a), Var(b)) if a == b => df = df.filter(col("s") === col("o"))

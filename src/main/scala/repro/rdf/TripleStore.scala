@@ -11,18 +11,17 @@ import repro.kg.KG
   * Real RDF engines keep up to six permutation indices (hexastore; Weiss et
   * al., VLDB 2008) so the join of two triple patterns on a shared variable
   * reads both sides in key order instead of re-sorting the graph. The
-  * DataFrame stand-ins are cached views hash-partitioned on their join key:
+  * DataFrame stand-ins are the views the extraction joins read, cached and
+  * hash-partitioned on their join key:
   *  - [[byS]] — partitioned by subject  (S·· index role)
   *  - [[byO]] — partitioned by object   (O·· index role)
   *  - [[typeTriples]] — partitioned by subject, the typed node
-  *  - [[byP]] — partitioned by predicate (P·· index role)
   *
-  * [[byS]], [[byO]] and [[typeTriples]] share one partition count, the
-  * session's default parallelism, so they are co-partitioned: a join of a
-  * type pattern with a subject- or object-keyed view, and the ``distinct``
-  * over its result, run as one stage with no shuffle. They are join inputs,
-  * not filter indexes — a filter on a constant still scans every partition.
-  * [[byP]] is partitioned into the session's shuffle partition count.
+  * All three share one partition count, the session's default parallelism,
+  * so they are co-partitioned: a join of a type pattern with a subject- or
+  * object-keyed view, and the ``distinct`` over its result, run as one stage
+  * with no shuffle. They are join inputs, not filter indexes — a constant
+  * subject, predicate or object is a filter that scans every partition.
   *
   * ``rdf:type`` triples are virtual: synthesised from the node-type table
   * with class-node objects, mirroring engines that store type quads.
@@ -35,13 +34,6 @@ final class TripleStore(val kg: KG) {
 
   private def keyedOn(df: DataFrame, key: String): DataFrame =
     df.repartition(partitions, col(key)).persist(StorageLevel.MEMORY_AND_DISK)
-
-  /** Raw triples (no index). */
-  def triples: DataFrame = kg.triples
-
-  /** Predicate-partitioned index view. */
-  lazy val byP: DataFrame =
-    kg.triples.repartition(col("p")).persist(StorageLevel.MEMORY_AND_DISK)
 
   /** Subject-partitioned index view. */
   lazy val byS: DataFrame = keyedOn(kg.triples, "s")
@@ -66,12 +58,15 @@ final class TripleStore(val kg: KG) {
     * exactly as the paper excludes Virtuoso's bulk load.
     */
   def warm(): TripleStore = {
-    byP.count(); byS.count(); byO.count(); typeTriples.count()
+    views.foreach(_.count())
     this
   }
 
   /** Free the index views' storage; the KG's own tables stay. */
-  def close(): Unit = Seq(byP, byS, byO, typeTriples).foreach(KG.release)
+  def close(): Unit = views.foreach(KG.release)
+
+  /** Every cached view, so [[warm]] and [[close]] cannot disagree. */
+  private def views: Seq[DataFrame] = Seq(byS, byO, typeTriples)
 
   /** Resolve an IRI to the id it denotes (predicate ids for ``rel:``,
     * class-node ids for ``type:``, entity ids for ``node:``).

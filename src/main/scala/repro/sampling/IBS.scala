@@ -77,8 +77,4 @@ object IBS {
     roots.unpersist(); inf.unpersist(); adj.unpersist()
     out
   }
-
-  /** Expose the influence scores for tests. */
-  def influenceScores(kg: KG, targets: DataFrame, bs: Int, alpha: Double, seed: Int): DataFrame =
-    PPR.scores(kg, RandomWalk.sampleIds(targets, bs, seed), alpha)
 }

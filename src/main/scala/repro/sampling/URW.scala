@@ -13,12 +13,8 @@ object URW {
   /** Sample a subgraph: ``bs`` uniform roots, ``h``-step walks, induced
     * edges over the visited set.
     */
-  def sample(kg: KG, bs: Int, h: Int, seed: Int): KG = {
-    val roots = RandomWalk.sampleIds(kg.nodeTypes.select("id"), bs, seed)
-    val adj = kg.undirected
-    val vs = RandomWalk.visited(adj, roots, h, seed)
-    Induce.extractSubgraph(kg, vs)
-  }
+  def sample(kg: KG, bs: Int, h: Int, seed: Int): KG =
+    Induce.extractSubgraph(kg, visitedSet(kg, bs, h, seed))
 
   /** Visited node set only (no induction) — used by the GraphSAINT trainer
     * to build mini-batch subgraphs.

@@ -10,9 +10,11 @@ class TripleStoreSpec extends SparkSpec {
   private lazy val schema = TestKGs.yago3.schema
 
   test("index views hold the same triples as the base table") {
-    assert(store.byP.count() == store.triples.count())
-    assert(store.byS.exceptAll(store.triples).count() == 0)
-    assert(store.byO.exceptAll(store.triples).count() == 0)
+    val triples = store.kg.triples
+    for (view <- Seq(store.byS, store.byO)) {
+      assert(view.exceptAll(triples).count() == 0)
+      assert(triples.exceptAll(view).count() == 0)
+    }
   }
 
   test("type triples cover every node exactly once with class-node objects") {
@@ -38,10 +40,17 @@ class TripleStoreSpec extends SparkSpec {
   }
 
   test("warm materialises and close releases without breaking reads") {
-    val s2 = new TripleStore(TestKGs.yago3)
-    s2.warm()
-    assert(s2.byP.count() > 0)
+    // a KG of its own checkpoints, so no other store's cached views share
+    // the plans (Spark caches an identical plan once)
+    val kg = TestKGs.yago3.cached()
+    def stored = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+    val before = stored
+    val s2 = new TripleStore(kg).warm()
+    val views = stored -- before
+    assert(views.size == 3, s"warm cached ${views.size} RDDs")
     s2.close()
-    assert(s2.triples.count() > 0)
+    assert((stored intersect views).isEmpty)
+    assert(kg.triples.count() > 0)
+    kg.uncache()
   }
 }
